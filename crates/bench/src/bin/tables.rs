@@ -414,7 +414,8 @@ fn table1_rows(doc: &str, path: &str) -> Vec<(String, f64)> {
 /// Compare a fresh Table 1 against the checked-in baseline: no row may
 /// lose more than 5% of its speedup ratio (the simulation is
 /// deterministic, so real drift means a real code change), and the
-/// fused-pipe acceptance floors are absolute — pipe-1B ≥ 20×, open/
+/// fused-path acceptance floors are absolute — pipe-1B ≥ 20×, file
+/// r/w 1 KB ≥ 8× (the fused file wrappers must stay installed), open/
 /// close `/dev/null` ≥ 15×, `/dev/tty` ≥ 8×. Exits non-zero on any
 /// failure so CI fails the job.
 fn table1_gate(new_path: &str, base_path: &str) {
@@ -441,6 +442,7 @@ fn table1_gate(new_path: &str, base_path: &str) {
     }
     for (needle, floor) in [
         ("pipe, 1 byte", 20.0),
+        ("file, 1 KB", 8.0),
         ("/dev/null", 15.0),
         ("/dev/tty", 8.0),
     ] {

@@ -79,8 +79,24 @@ impl<T: Send, const N: usize> BufferedProducer<T, N> {
         self.items += 1;
         if self.fill_len == N {
             // Hand the chunk off eagerly; if the queue is full keep it
-            // staged and retry on the next put.
+            // staged for the next put or [`flush`](Self::flush).
             let _ = self.try_flush();
+        }
+        Ok(())
+    }
+
+    /// Push a complete staged chunk — one whose eager hand-off found the
+    /// queue full. A producer must call this after its last `put` until
+    /// it succeeds, or the final chunk never reaches the consumer. A
+    /// partial chunk stays staged: it cannot be padded for general `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Full`] when a complete chunk is staged and the queue
+    /// still has no room.
+    pub fn flush(&mut self) -> Result<(), Full<()>> {
+        if self.fill_len == N {
+            self.try_flush().map_err(|()| Full(()))?;
         }
         Ok(())
     }
@@ -105,11 +121,11 @@ impl<T: Send, const N: usize> BufferedProducer<T, N> {
         }
     }
 
-    /// Flush a partial chunk by padding is impossible for general `T`;
-    /// instead, expose how many items are staged so callers can decide.
+    /// Items accepted but not yet in the queue: a partial chunk, or `N`
+    /// when a complete chunk waits for [`flush`](Self::flush).
     #[must_use]
     pub fn staged(&self) -> usize {
-        self.fill_len % N
+        self.fill_len
     }
 
     /// The amortization actually achieved: items per queue-element insert.
@@ -188,6 +204,27 @@ mod tests {
     }
 
     #[test]
+    fn full_queue_at_the_last_put_loses_nothing() {
+        // Two queue elements of factor 4: the third chunk completes while
+        // the queue is full, so its eager hand-off fails and it stays
+        // staged. Nothing retries it unless the producer flushes.
+        let (mut p, mut c) = channel::<u32, 4>(2);
+        for i in 0..12 {
+            p.put(i).unwrap();
+        }
+        assert_eq!(p.chunk_puts, 2, "the queue holds two chunks");
+        assert_eq!(p.staged(), 4, "a complete chunk waits");
+        assert!(p.flush().is_err(), "still no room");
+        assert_eq!(c.get_chunk(), Some([0, 1, 2, 3]));
+        p.flush().unwrap();
+        assert_eq!(p.staged(), 0);
+        assert_eq!(p.chunk_puts, 3);
+        let rest: Vec<u32> = std::iter::from_fn(|| c.get()).collect();
+        assert_eq!(rest, (4..12).collect::<Vec<_>>(), "every item arrives");
+        p.flush().unwrap(); // nothing staged: a no-op
+    }
+
+    #[test]
     fn ad_server_rate_smoke() {
         // One simulated second of 44.1 kHz samples through a factor-8
         // buffered queue, drained concurrently.
@@ -209,6 +246,11 @@ mod tests {
                 std::thread::yield_now();
             }
         }
+        // The last chunk may have found the queue full: push it out.
+        while p.flush().is_err() {
+            std::thread::yield_now();
+        }
+        assert_eq!(p.staged(), 0);
         assert_eq!(t.join().unwrap(), 44_100);
         assert_eq!(p.chunk_puts, 44_104 / 8);
     }

@@ -10,15 +10,15 @@
 use std::collections::HashMap;
 
 use quamachine::code::CodeBlock;
+use quamachine::isa::Instr;
 use quamachine::machine::Machine;
 
 use crate::codebuf::{CodeBuf, CodeBufFull};
 use crate::collapse::{self, CollapseError};
-use crate::equiv::{self, DiffConfig, DiffMismatch};
+use crate::equiv::{self, DiffConfig, DiffMismatch, PresetSet};
 use crate::factor::{self, FactorError};
 use crate::peephole;
 use crate::speccache::{Release, SpecCache, SpecKey};
-use crate::superopt::{self, SuperoptConfig};
 use crate::template::{Bindings, Template, TemplateLib};
 use crate::verify::{self, VerifyReport};
 
@@ -44,24 +44,16 @@ pub struct SynthesisOptions {
     pub fold: bool,
     /// The peephole optimizer.
     pub peephole: bool,
-    /// The cost-guided superoptimizer ([`crate::superopt`]): search the
-    /// straight-line windows for cheaper equivalent sequences, then
-    /// differentially check the whole block against its pre-peephole
-    /// form before installing. Off by default — the fused fast paths
-    /// (pipe/read/write collapsed across the trap boundary) turn it on.
-    pub superopt: bool,
 }
 
 impl SynthesisOptions {
-    /// Everything on — the Synthesis kernel's normal mode. The
-    /// superoptimizer stays off: it is opted into per-path.
+    /// Everything on — the Synthesis kernel's normal mode.
     #[must_use]
     pub fn full() -> SynthesisOptions {
         SynthesisOptions {
             collapse: true,
             fold: true,
             peephole: true,
-            superopt: false,
         }
     }
 
@@ -73,7 +65,6 @@ impl SynthesisOptions {
             collapse: false,
             fold: false,
             peephole: false,
-            superopt: false,
         }
     }
 }
@@ -181,13 +172,15 @@ pub struct CreatorStats {
     pub cache_hits_cross: u64,
     /// The subset of `bytes_shared` handed out across CPUs.
     pub bytes_shared_cross: u64,
-    /// Straight-line windows the superoptimizer searched.
+    /// Straight-line windows the superoptimizer searched. Always 0: the
+    /// search ([`crate::superopt`]) runs offline, never on the synthesis
+    /// path; the field stays for readers of the stats record.
     pub superopt_windows: u64,
-    /// Candidates it accepted (cheaper AND proven equivalent).
+    /// Superoptimizer candidates accepted. Always 0, like
+    /// [`superopt_windows`](CreatorStats::superopt_windows).
     pub superopt_accepted: u64,
-    /// Static cycles it shaved off installed code.
-    pub superopt_cycles_saved: u64,
-    /// Blocks that passed the pre-install differential check.
+    /// Blocks that passed the pre-install differential check (one per
+    /// gated synthesis miss; see [`QuajectCreator::synthesize_cached`]).
     pub equiv_checked: u64,
 }
 
@@ -257,13 +250,6 @@ pub struct QuajectCreator {
     /// Undrained cache transitions (feature `trace`; always empty
     /// otherwise).
     pub cache_events: Vec<CacheEvent>,
-    /// Register preset sets for the pre-install differential check of
-    /// superoptimized blocks (rotated across odd trials; `(true, n, v)`
-    /// sets `d[n]`, `(false, n, v)` sets `a[n]`). Transient steering
-    /// state — NOT part of the cache key: callers set one set per
-    /// guarded path of the block (a fused wrapper's fast path *and* its
-    /// general body) before synthesizing, and clear it after.
-    pub diff_presets: Vec<Vec<(bool, u8, u32)>>,
 }
 
 impl QuajectCreator {
@@ -277,7 +263,6 @@ impl QuajectCreator {
             cache: SpecCache::new(),
             stats: CreatorStats::default(),
             cache_events: Vec::new(),
-            diff_presets: Vec::new(),
         }
     }
 
@@ -310,12 +295,23 @@ impl QuajectCreator {
         bindings: &Bindings,
         opts: SynthesisOptions,
     ) -> Result<Synthesized, SynthError> {
+        self.synthesize_named(m, template_name, bindings, opts, None)
+    }
+
+    fn synthesize_named(
+        &mut self,
+        m: &mut Machine,
+        template_name: &str,
+        bindings: &Bindings,
+        opts: SynthesisOptions,
+        gate: Option<&[PresetSet]>,
+    ) -> Result<Synthesized, SynthError> {
         let t = self
             .lib
             .get(template_name)
             .ok_or_else(|| SynthError::UnknownTemplate(template_name.to_string()))?
             .clone();
-        self.synthesize_template(m, &t, bindings, opts)
+        self.synthesize_gated(m, &t, bindings, opts, gate)
     }
 
     /// Synthesize a template object directly (not via the library).
@@ -330,8 +326,23 @@ impl QuajectCreator {
         bindings: &Bindings,
         opts: SynthesisOptions,
     ) -> Result<Synthesized, SynthError> {
-        let instrs_in = t.instrs.len();
+        self.synthesize_gated(m, t, bindings, opts, None)
+    }
 
+    /// The code-generating stages without installation: collapse,
+    /// factor, peephole, verify. Returns the post-factor instruction
+    /// stream — the semantic reference every later stage must preserve
+    /// — and the optimized template that would be installed.
+    ///
+    /// # Errors
+    ///
+    /// See [`SynthError`] (collapse, factor and verify errors only).
+    pub fn specialize(
+        &self,
+        t: &Template,
+        bindings: &Bindings,
+        opts: SynthesisOptions,
+    ) -> Result<(Vec<Instr>, Template), SynthError> {
         // Stage 0 (combination support): Collapsing Layers, or layered
         // linkage of call sites.
         let mut work: Template = if opts.collapse && !t.call_sites().is_empty() {
@@ -362,10 +373,10 @@ impl QuajectCreator {
         };
 
         // Stage 2: optimization. The post-factor stream is the semantic
-        // reference: everything the optimizers do must be behaviorally
-        // invisible, and for superoptimized blocks that is *proven* by
+        // reference: everything the optimizer does must be behaviorally
+        // invisible, and for gated blocks that is *checked* by
         // differential execution before install.
-        let reference = opts.superopt.then(|| work.instrs.clone());
+        let reference = work.instrs.clone();
         if opts.peephole {
             let mut marks = work.marks.clone();
             let instrs = peephole::optimize(work.instrs, &mut marks);
@@ -376,32 +387,35 @@ impl QuajectCreator {
                 marks,
             };
         }
-        if opts.superopt {
-            let mut marks = work.marks.clone();
-            let (instrs, sstats) =
-                superopt::optimize(work.instrs, &mut marks, &m.cost, &SuperoptConfig::default());
-            self.stats.superopt_windows += u64::from(sstats.windows);
-            self.stats.superopt_accepted += u64::from(sstats.accepted);
-            self.stats.superopt_cycles_saved += sstats.cycles_saved;
-            work = Template {
-                name: work.name,
-                instrs,
-                holes: Vec::new(),
-                marks,
-            };
-        }
 
         verify::verify_reported(&work).map_err(SynthError::Verify)?;
+        Ok((reference, work))
+    }
+
+    /// The whole pipeline. With `gate` set, the optimized block must
+    /// pass [`equiv::diff_check`] against its post-factor reference
+    /// before it is installed; each preset set steers trials down one
+    /// guarded path of the block (see [`DiffConfig::preset_sets`]).
+    fn synthesize_gated(
+        &mut self,
+        m: &mut Machine,
+        t: &Template,
+        bindings: &Bindings,
+        opts: SynthesisOptions,
+        gate: Option<&[PresetSet]>,
+    ) -> Result<Synthesized, SynthError> {
+        let instrs_in = t.instrs.len();
+        let (reference, work) = self.specialize(t, bindings, opts)?;
 
         // Pre-install equivalence gate: the final optimized block must be
         // indistinguishable from its post-factor form on randomized
         // states (presets steer trials down the specialized fast path).
-        if let Some(reference) = reference {
+        if let Some(presets) = gate {
             let base = DiffConfig::default();
             let diff = DiffConfig {
                 // Two odd trials per preset set, plus the random evens.
-                trials: base.trials.max(4 * self.diff_presets.len() as u32 + 2),
-                preset_sets: self.diff_presets.clone(),
+                trials: base.trials.max(4 * presets.len() as u32 + 2),
+                preset_sets: presets.to_vec(),
                 ..base
             };
             equiv::diff_check(&reference, &work.instrs, &diff).map_err(SynthError::Equiv)?;
@@ -457,15 +471,25 @@ impl QuajectCreator {
     /// The returned block's `synth_cycles` reflects what *this* request
     /// was charged, so a hit reports [`CACHE_HIT_CYCLES`].
     ///
+    /// `gate` turns on the pre-install equivalence gate for a miss: the
+    /// block is installed only if it passes [`equiv::diff_check`]
+    /// against its post-factor reference, with trials steered by the
+    /// given register preset sets (one per guarded path). The gate runs
+    /// exactly when `gate` is `Some`. The presets are not part of the
+    /// cache key: they choose which states the check tries, not what
+    /// code is generated, so a hit hands out the block as installed.
+    ///
     /// # Errors
     ///
-    /// See [`SynthError`].
+    /// See [`SynthError`]; a gate rejection is [`SynthError::Equiv`] and
+    /// installs nothing.
     pub fn synthesize_cached(
         &mut self,
         m: &mut Machine,
         template_name: &str,
         bindings: &Bindings,
         opts: SynthesisOptions,
+        gate: Option<&[PresetSet]>,
     ) -> Result<Synthesized, SynthError> {
         let key = SpecKey::new(template_name, bindings, opts);
         let cpu = m.active_cpu();
@@ -488,7 +512,7 @@ impl QuajectCreator {
             });
             return Ok(s);
         }
-        let s = self.synthesize(m, template_name, bindings, opts)?;
+        let s = self.synthesize_named(m, template_name, bindings, opts, gate)?;
         self.stats.cache_misses += 1;
         self.cache.insert_on(key, s.clone(), cpu);
         self.cache_event(CacheEvent::Miss {
@@ -768,37 +792,22 @@ mod tests {
     }
 
     #[test]
-    fn superopt_stage_optimizes_and_proves_blocks() {
+    fn gate_runs_exactly_when_presets_are_supplied() {
         let mut m = machine();
         let mut c = creator();
-        let t = Template {
-            name: "hot".into(),
-            instrs: vec![
-                Instr::MulU(Imm(8), 0),
-                Instr::Move(L, Dr(0), Abs(0x2000)),
-                Instr::Rts,
-            ],
-            holes: vec![],
-            marks: HashMap::new(),
-        };
-        // Peephole off isolates the superoptimizer: the search itself
-        // must find mask+shift, and the pre-install differential check
-        // must pass (it runs against the post-factor reference).
-        let mut opts = SynthesisOptions::full();
-        opts.peephole = false;
-        opts.superopt = true;
-        let s = c
-            .synthesize_template(&mut m, &t, &Bindings::new(), opts)
+        c.lib.add(mode_template());
+        let b = Bindings::new().with("mode", 0);
+        let opts = SynthesisOptions::full();
+        let plain = c
+            .synthesize_cached(&mut m, "modal", &b, opts, None)
             .unwrap();
-        assert!(c.stats.superopt_accepted >= 1, "{:?}", c.stats);
-        assert!(c.stats.superopt_cycles_saved >= 20, "{:?}", c.stats);
+        assert_eq!(c.stats.equiv_checked, 0, "no presets, no gate");
+        c.destroy(&mut m, &plain);
+        let presets = vec![vec![(true, 1, 0)]];
+        c.synthesize_cached(&mut m, "modal", &b, opts, Some(&presets))
+            .unwrap();
         assert_eq!(c.stats.equiv_checked, 1);
-        let block = m.code.block(s.base).unwrap();
-        assert!(
-            !block.instrs.iter().any(|i| matches!(i, Instr::MulU(..))),
-            "installed code should be strength-reduced: {:?}",
-            block.instrs
-        );
+        assert_eq!(c.stats.superopt_windows, 0, "no search on this path");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! proves *behavior*: a candidate sequence is accepted only if it is
 //! indistinguishable from its reference when both run on the
 //! cycle-modelled interpreter from the same randomized register and
-//! memory states. This is the acceptance gate of the superoptimizer
-//! ([`crate::superopt`]) and the pre-install check the creator applies
-//! to every superoptimized or fused block.
+//! memory states. This is the acceptance check of the offline
+//! superoptimizer ([`crate::superopt`]) and the pre-install gate the
+//! creator applies to every block synthesized with preset sets — every
+//! fused I/O wrapper.
 //!
 //! # What is compared
 //!
@@ -19,10 +20,27 @@
 //! - the condition codes `N`/`Z`/`V`/`C` (`X` is excluded: no
 //!   implemented instruction observes it except a store-SR, and windows
 //!   feeding a store-SR are never superoptimized);
-//! - every byte of memory;
+//! - every byte of memory, with one normalization (below);
 //! - the exit reason, including the `kcall` selector — a fused block
 //!   that blocks in the kernel must block through the *same* kcall with
 //!   the same visible state.
+//!
+//! # Code addresses on the stack
+//!
+//! A `jsr`, a `trap`, and a zero-divide push the address of the next
+//! instruction; any other fault pushes the faulting instruction's. Both
+//! are addresses inside the sequence under test, and reference and
+//! candidate encode to different lengths once peephole has shortened
+//! anything, so the same point has a different address in each run. On
+//! every exit path the harness therefore rewrites each long on the stack
+//! that points into the sequence to a position-independent token: the
+//! return point "after the k-th `jsr`" (per kind: `jsr`, `trap`,
+//! `divu`), or one generic code token for any other address in the
+//! sequence. This covers live frames (a trap exit's frame PC) and the
+//! dead slots below the final stack pointer that an inner `jsr` or a
+//! fault leaves behind. Registers and all other memory stay compared byte for byte,
+//! and a return point is still compared by identity: a candidate that
+//! pushes the return address of a *different* call fails.
 //!
 //! Trials are seeded and replayable: a mismatch reports the trial seed
 //! so the exact failing state can be reproduced.
@@ -33,7 +51,9 @@ use quamachine::machine::{Machine, MachineConfig, RunExit};
 
 /// Where the sequence under test is loaded. Chosen above the data
 /// memory so random address-register values can never alias code.
-const CODE_BASE: u32 = 0x0040_0000;
+/// Public so tests can build sequences whose `jsr`s target routines
+/// inside the sequence itself.
+pub const CODE_BASE: u32 = 0x0040_0000;
 /// A one-instruction `halt` block: the return target of a terminating
 /// `rts`.
 const SENTINEL: u32 = 0x0050_0000;
@@ -50,6 +70,21 @@ const DATA_LEN: u32 = 0x8000;
 /// Initial stack pointer (the long below holds the sentinel return
 /// address).
 const STACK_TOP: u32 = 0x0000_F000;
+/// Bottom of the stack region scanned for pushed code addresses (just
+/// above the exception vector table). The region starts zeroed, apart
+/// from constants the sequences mention, which start identical in both
+/// runs.
+const STACK_FLOOR: u32 = 0x0000_0400;
+/// Normalized form of a return point: `RET_TOKEN | kind << 12 | k` for
+/// the return address of the `k`-th instruction of `kind` (0 `jsr`,
+/// 1 `trap`, 2 `divu`). Far outside the sequence's address range.
+const RET_TOKEN: u32 = 0xC0DE_0000;
+/// Normalized form of any other address inside the sequence.
+const CODE_TOKEN: u32 = 0xC0DE_FFFF;
+
+/// One register preset set: `(true, n, v)` sets `d[n] = v`,
+/// `(false, n, v)` sets `a[n] = v`.
+pub type PresetSet = Vec<(bool, u8, u32)>;
 
 /// Configuration of one differential check.
 #[derive(Debug, Clone)]
@@ -71,7 +106,7 @@ pub struct DiffConfig {
     /// `d1 = fd, d2 = 5` for its general body, so neither path escapes
     /// the trials the way a random `d1` (which practically never equals
     /// the fd) would let it.
-    pub preset_sets: Vec<Vec<(bool, u8, u32)>>,
+    pub preset_sets: Vec<PresetSet>,
 }
 
 impl Default for DiffConfig {
@@ -249,19 +284,59 @@ fn run_one(
     let exit = m.run(cfg.cycles);
     let mut tok = token(&exit);
     if tok == ExitToken::Halted && (TRAP_LAND..TRAP_LAND + 8 * 256).contains(&m.cpu.pc) {
-        // Halted on a trap pad: record which trap, and zero the pushed
-        // return PC in the exception frame (SP+2) — it is an offset into
-        // the sequence's own encoding, not comparable state. The pushed
-        // SR word at SP stays compared: trap-time flags are semantics.
+        // Halted on a trap pad: record which trap. The frame's return PC
+        // (SP+2) is normalized with the rest of the stack below; the
+        // pushed SR word at SP stays compared — trap-time flags are
+        // semantics — with X masked out, like the final-CCR compare (X
+        // is unobservable in superoptimizable windows).
         tok = ExitToken::Trap(((m.cpu.pc - TRAP_LAND) / 8) as u8);
         let sp = m.cpu.a[7];
-        m.mem.poke(sp.wrapping_add(2), Size::L, 0);
-        // Mask X out of the frame SR as well: like the final-CCR compare,
-        // X is unobservable in superoptimizable windows.
         let frame_sr = m.mem.peek(sp, Size::W);
         m.mem.poke(sp, Size::W, frame_sr & !0x10);
     }
+    normalize_code_addrs(&mut m, instrs);
     (m, tok)
+}
+
+/// Rewrite every long in the stack region that points into the loaded
+/// sequence to its position-independent token (see the module docs).
+/// Scans ascending at 2-byte steps; a rewritten long is skipped whole,
+/// so adjacent pushed addresses are each recognized once.
+fn normalize_code_addrs(m: &mut Machine, instrs: &[Instr]) {
+    let Some(block) = m.code.block(CODE_BASE) else {
+        return;
+    };
+    let end = CODE_BASE + block.size_bytes();
+    let mut ordinals = [0u32; 3];
+    let mut ret_points = Vec::new();
+    for (i, ins) in instrs.iter().enumerate() {
+        let kind = match ins {
+            Instr::Jsr(_) => 0,
+            Instr::Trap(_) => 1,
+            Instr::DivU(..) => 2,
+            _ => continue,
+        };
+        // The trailing halt makes `i + 1` a valid index for every `i`.
+        if let Some(ret) = m.code.addr_of(CODE_BASE, i + 1) {
+            ret_points.push((ret, RET_TOKEN | kind << 12 | ordinals[kind as usize]));
+        }
+        ordinals[kind as usize] += 1;
+    }
+    let stack = m.mem.peek_bytes(STACK_FLOOR, STACK_TOP + 4 - STACK_FLOOR);
+    let mut i = 0;
+    while i + 4 <= stack.len() {
+        let v = u32::from_be_bytes([stack[i], stack[i + 1], stack[i + 2], stack[i + 3]]);
+        if (CODE_BASE..end).contains(&v) {
+            let tok = ret_points
+                .iter()
+                .find(|&&(ret, _)| ret == v)
+                .map_or(CODE_TOKEN, |&(_, t)| t);
+            m.mem.poke(STACK_FLOOR + i as u32, Size::L, tok);
+            i += 4;
+        } else {
+            i += 2;
+        }
+    }
 }
 
 /// Compare two completed runs; `None` means indistinguishable.

@@ -22,8 +22,14 @@
 //!   window's *original* code ([`crate::equiv`]), so accepted chains
 //!   can never drift from the reference semantics.
 //!
-//! Every run is replayable from its seed; the creator uses a fixed
-//! default so identical inputs synthesize identical (cacheable) code.
+//! Every run is replayable from its seed.
+//!
+//! The search runs offline, never when code is synthesized: the
+//! creator installs factor + peephole output behind the equivalence
+//! gate, and a miner test runs this search over the installed
+//! templates and fails if it finds a cheaper equivalent sequence that
+//! [`crate::peephole`] misses. Wins it finds are promoted to peephole
+//! rewrites (the `mulu #2ᵏ` and store-reload rules came from here).
 
 use std::collections::HashMap;
 
@@ -336,6 +342,32 @@ mod tests {
             !out.iter().any(|i| matches!(i, Instr::MulU(..))),
             "mulu should be reduced: {out:?}"
         );
+    }
+
+    #[test]
+    fn optimizes_and_proves_blocks() {
+        // The search alone (no peephole pass) finds mask+shift for the
+        // multiply, and the whole optimized block passes the same
+        // differential check the creator gates fused blocks with.
+        let reference = vec![
+            Instr::MulU(Imm(8), 0),
+            Instr::Move(L, Dr(0), Abs(0x2000)),
+            Instr::Rts,
+        ];
+        let mut marks = HashMap::new();
+        let (out, stats) = optimize(
+            reference.clone(),
+            &mut marks,
+            &model(),
+            &SuperoptConfig::default(),
+        );
+        assert!(stats.accepted >= 1, "{stats:?}");
+        assert!(stats.cycles_saved >= 20, "{stats:?}");
+        assert!(
+            !out.iter().any(|i| matches!(i, Instr::MulU(..))),
+            "strength-reduced: {out:?}"
+        );
+        equiv::diff_check(&reference, &out, &DiffConfig::default()).unwrap();
     }
 
     #[test]

@@ -47,14 +47,14 @@ fn same_bindings_hit_different_bindings_miss() {
     let mut c = creator();
     let opts = SynthesisOptions::full();
     let a = c
-        .synthesize_cached(&mut m, "chan", &bindings(0x8000, 0x9000, 4), opts)
+        .synthesize_cached(&mut m, "chan", &bindings(0x8000, 0x9000, 4), opts, None)
         .unwrap();
     assert_eq!((c.stats.cache_hits, c.stats.cache_misses), (0, 1));
 
     // Identical invariants: the same installed block, at link cost.
     let cycles_before = m.meter.cycles;
     let b = c
-        .synthesize_cached(&mut m, "chan", &bindings(0x8000, 0x9000, 4), opts)
+        .synthesize_cached(&mut m, "chan", &bindings(0x8000, 0x9000, 4), opts, None)
         .unwrap();
     assert_eq!(b.base, a.base);
     assert_eq!(b.synth_cycles, CACHE_HIT_CYCLES);
@@ -64,7 +64,7 @@ fn same_bindings_hit_different_bindings_miss() {
 
     // A different gauge binding is a different specialization.
     let d = c
-        .synthesize_cached(&mut m, "chan", &bindings(0x8000, 0x9100, 4), opts)
+        .synthesize_cached(&mut m, "chan", &bindings(0x8000, 0x9100, 4), opts, None)
         .unwrap();
     assert_ne!(d.base, a.base);
     assert!(d.synth_cycles > CACHE_HIT_CYCLES);
@@ -77,10 +77,10 @@ fn options_are_part_of_the_key() {
     let mut c = creator();
     let b = bindings(0x8000, 0x9000, 4);
     let full = c
-        .synthesize_cached(&mut m, "chan", &b, SynthesisOptions::full())
+        .synthesize_cached(&mut m, "chan", &b, SynthesisOptions::full(), None)
         .unwrap();
     let none = c
-        .synthesize_cached(&mut m, "chan", &b, SynthesisOptions::none())
+        .synthesize_cached(&mut m, "chan", &b, SynthesisOptions::none(), None)
         .unwrap();
     assert_ne!(full.base, none.base);
     assert_eq!(c.stats.cache_misses, 2);
@@ -92,9 +92,9 @@ fn eviction_at_zero_refcount() {
     let mut c = creator();
     let opts = SynthesisOptions::full();
     let b = bindings(0x8000, 0x9000, 4);
-    let first = c.synthesize_cached(&mut m, "chan", &b, opts).unwrap();
+    let first = c.synthesize_cached(&mut m, "chan", &b, opts, None).unwrap();
     let one_copy = c.codebuf.in_use;
-    let second = c.synthesize_cached(&mut m, "chan", &b, opts).unwrap();
+    let second = c.synthesize_cached(&mut m, "chan", &b, opts, None).unwrap();
     assert_eq!(c.cache.refs(first.base), Some(2));
     assert_eq!(c.codebuf.in_use, one_copy, "a hit installs nothing new");
 
@@ -112,7 +112,7 @@ fn eviction_at_zero_refcount() {
     assert!(c.cache.is_empty());
 
     // The next request is a cold miss that reuses the space.
-    let third = c.synthesize_cached(&mut m, "chan", &b, opts).unwrap();
+    let third = c.synthesize_cached(&mut m, "chan", &b, opts, None).unwrap();
     assert_eq!(third.base, first.base);
     assert_eq!(c.stats.cache_misses, 2);
 }
@@ -144,14 +144,14 @@ proptest! {
         fold in any::<bool>(),
         peephole in any::<bool>(),
     ) {
-        let opts = SynthesisOptions { collapse, fold, peephole, superopt: false };
+        let opts = SynthesisOptions { collapse, fold, peephole };
         let b = bindings(slot, gauge, step);
 
         // Warm a cache, then take a hit from it.
         let mut m1 = machine();
         let mut c1 = creator();
-        let cold = c1.synthesize_cached(&mut m1, "chan", &b, opts).unwrap();
-        let hit = c1.synthesize_cached(&mut m1, "chan", &b, opts).unwrap();
+        let cold = c1.synthesize_cached(&mut m1, "chan", &b, opts, None).unwrap();
+        let hit = c1.synthesize_cached(&mut m1, "chan", &b, opts, None).unwrap();
         prop_assert_eq!(hit.base, cold.base);
 
         // Fresh synthesis in an independent machine and creator.
@@ -192,7 +192,7 @@ proptest! {
         let mut live: Vec<synthesis_codegen::creator::Synthesized> = Vec::new();
         for &(key, acquire) in &ops {
             if acquire || live.is_empty() {
-                live.push(c.synthesize_cached(&mut m, "chan", &keys[key], opts).unwrap());
+                live.push(c.synthesize_cached(&mut m, "chan", &keys[key], opts, None).unwrap());
             } else {
                 let s = live.swap_remove(key % live.len());
                 c.destroy(&mut m, &s);
@@ -208,7 +208,7 @@ proptest! {
         let mut m2 = machine();
         let mut c2 = creator();
         for key in &keys {
-            let got = c.synthesize_cached(&mut m, "chan", key, opts).unwrap();
+            let got = c.synthesize_cached(&mut m, "chan", key, opts, None).unwrap();
             let fresh = c2.synthesize(&mut m2, "chan", key, opts).unwrap();
             let got_block = m.code.block(got.base).unwrap();
             let fresh_block = m2.code.block(fresh.base).unwrap();

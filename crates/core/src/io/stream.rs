@@ -127,14 +127,14 @@ impl Kernel {
         };
         let put = match self
             .creator
-            .synthesize_cached(&mut self.m, put_t, &b, self.opts)
+            .synthesize_cached(&mut self.m, put_t, &b, self.opts, None)
         {
             Ok(p) => p,
             Err(e) => return Err(rollback(self, &[], e)),
         };
         let get = match self
             .creator
-            .synthesize_cached(&mut self.m, get_t, &b, self.opts)
+            .synthesize_cached(&mut self.m, get_t, &b, self.opts, None)
         {
             Ok(g) => g,
             Err(e) => return Err(rollback(self, &[put], e)),
@@ -171,7 +171,7 @@ impl Kernel {
         let b = chan.bindings(matches!(chan.connector, Connector::MpscQueue));
         let s = self
             .creator
-            .synthesize_cached(&mut self.m, name, &b, self.opts)
+            .synthesize_cached(&mut self.m, name, &b, self.opts, None)
             .map_err(KernelError::Synth)?;
         let tid = self.trace_tid();
         self.drain_cache_events(tid);

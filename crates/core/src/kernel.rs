@@ -2878,6 +2878,7 @@ impl Kernel {
                 end.template,
                 &end.bindings,
                 self.opts,
+                None,
             ) {
                 Ok(s) => {
                     entries[i] = s.base;

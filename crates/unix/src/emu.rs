@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use quamachine::asm::Asm;
 use quamachine::isa::{BranchTarget, Cond, Instr, Operand, Operand::*, Size, Size::*};
 use quamachine::machine::RunExit;
-use synthesis_codegen::creator::Synthesized;
+use synthesis_codegen::creator::{SynthError, Synthesized};
 use synthesis_codegen::template::{Bindings, Template};
 use synthesis_core::kernel::{Kernel, KernelError};
 use synthesis_core::syscall::errno;
@@ -81,12 +81,40 @@ struct Fusion {
     sites: HashMap<(Tid, u32), Vec<BoundSite>>,
 }
 
+/// What the fused-path binder did with each `read`/`write` call site it
+/// was asked to bind. Every outcome but `bound` sends the site to the
+/// layered trap shim.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FusionStats {
+    /// Sites patched to jump straight into a fused wrapper.
+    pub bound: u64,
+    /// Sites whose fd has no fused form (foreign class, a pipe end with
+    /// more than one reader or writer, the wrong direction, a bad fd).
+    pub unfusable: u64,
+    /// Wrappers the pre-install equivalence gate rejected.
+    pub equiv_rejected: u64,
+    /// Wrappers that did not fit in the code buffer.
+    pub codebuf_full: u64,
+    /// Wrappers that failed synthesis for any other reason.
+    pub synth_failed: u64,
+}
+
+impl FusionStats {
+    /// Sites that fell back to the layered trap path, for any reason.
+    #[must_use]
+    pub fn fallbacks(&self) -> u64 {
+        self.unfusable + self.equiv_rejected + self.codebuf_full + self.synth_failed
+    }
+}
+
 /// The UNIX emulator: wraps a booted Synthesis kernel.
 pub struct UnixEmulator {
     /// The underlying Synthesis kernel.
     pub k: Kernel,
     dispatchers: HashMap<Tid, Synthesized>,
     fusion: Option<Fusion>,
+    fusion_stats: FusionStats,
+    last_bind_error: Option<SynthError>,
 }
 
 /// Instruction indices that are branch targets of `instrs`.
@@ -208,9 +236,24 @@ impl UnixEmulator {
             k,
             dispatchers: HashMap::new(),
             fusion: None,
+            fusion_stats: FusionStats::default(),
+            last_bind_error: None,
         };
         e.k.creator.lib.add(unix_dispatch_template());
         e
+    }
+
+    /// Per-outcome counts of the fused-path binder.
+    #[must_use]
+    pub fn fusion_stats(&self) -> FusionStats {
+        self.fusion_stats
+    }
+
+    /// The synthesis error behind the most recent bind that fell back
+    /// to the trap shim, if any.
+    #[must_use]
+    pub fn last_bind_error(&self) -> Option<&SynthError> {
+        self.last_bind_error.as_ref()
     }
 
     /// Install the trap-elision thunks (idempotent). Requires the kernel
@@ -355,26 +398,28 @@ impl UnixEmulator {
         let Some((tid, (name, bindings))) = spec else {
             // Not fusable (foreign class, shared pipe, …): the site goes
             // layered for good (an unfuse re-arms it).
+            self.fusion_stats.unfusable += 1;
             let _ = self.k.m.code.patch_jsr_target(site, trap_shim);
             self.k.m.cpu.pc = trap_shim;
             return;
         };
-        // Steer the pre-install equivalence trials down *both* guarded
-        // paths: the 1-byte fast path (d1 = this fd, d2 = 1) and the
-        // inlined general body (same fd, a count small enough that a
+        // The pre-install equivalence gate checks the wrapper against
+        // its post-factor reference. Steer its trials down *both*
+        // guarded paths: the 1-byte fast path (d1 = this fd, d2 = 1) and
+        // the inlined general body (same fd, a count small enough that a
         // trial's copy finishes well inside the cycle budget).
-        let mut opts = self.k.opts;
-        opts.superopt = true;
-        self.k.creator.diff_presets = vec![
+        let presets = [
             vec![(true, 1, fd), (true, 2, 1)],
             vec![(true, 1, fd), (true, 2, 5)],
         ];
-        let s = self
-            .k
-            .creator
-            .synthesize_cached(&mut self.k.m, &name, &bindings, opts);
-        self.k.creator.diff_presets.clear();
-        match s {
+        let s = self.k.creator.synthesize_cached(
+            &mut self.k.m,
+            &name,
+            &bindings,
+            self.k.opts,
+            Some(&presets),
+        );
+        let err = match s {
             Ok(s) => {
                 let entry = s.base;
                 let _ = self.k.m.code.patch_jsr_target(site, entry);
@@ -385,16 +430,32 @@ impl UnixEmulator {
                     .entry((tid, fd))
                     .or_default()
                     .push((site, write, s));
+                self.fusion_stats.bound += 1;
                 // This call still has the thunk's return frame on the
                 // stack; run it through the wrapper now.
                 self.k.m.cpu.pc = entry;
+                return;
             }
-            Err(_) => {
-                // Synthesis failed (code space): fall back layered.
-                let _ = self.k.m.code.patch_jsr_target(site, trap_shim);
-                self.k.m.cpu.pc = trap_shim;
+            // The optimized wrapper is not provably the reference: never
+            // install it.
+            Err(e @ SynthError::Equiv(_)) => {
+                self.fusion_stats.equiv_rejected += 1;
+                e
             }
-        }
+            Err(e @ SynthError::CodeBuf(_)) => {
+                self.fusion_stats.codebuf_full += 1;
+                e
+            }
+            Err(e) => {
+                self.fusion_stats.synth_failed += 1;
+                e
+            }
+        };
+        // Every failure leaves the layered path correct: divert the
+        // site to the trap shim and run this call through it.
+        self.last_bind_error = Some(err);
+        let _ = self.k.m.code.patch_jsr_target(site, trap_shim);
+        self.k.m.cpu.pc = trap_shim;
     }
 
     /// Drop every fused binding for `(tid, fd)`: re-arm the sites to the

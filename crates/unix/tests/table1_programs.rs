@@ -142,3 +142,43 @@ fn pipe_data_integrity_both_kernels() {
     });
     assert_eq!(emu.k.m.mem.peek_bytes(addrs::BUF, 1024), pattern);
 }
+
+#[test]
+fn every_table1_program_binds_with_zero_fallbacks() {
+    // Rows 2-7 on the fused boot the Table 1 measurement uses: every
+    // `read`/`write` call site binds a fused wrapper, and none falls
+    // back to the trap shim — not through the equivalence gate, code
+    // space, or any other synthesis error.
+    const N: u32 = 3;
+    let rows: [(&str, quamachine::asm::Asm, bool, u64); 6] = [
+        ("2 pipe 1 B", programs::pipe_rw(1, N), false, 2),
+        ("3 pipe 1 KB", programs::pipe_rw(1024, N), false, 2),
+        ("4 pipe 4 KB", programs::pipe_rw(4096, N), false, 2),
+        ("5 file 1 KB", programs::file_rw(N), true, 2),
+        ("6 open /dev/null", programs::open_close(0, N), false, 0),
+        ("7 open /dev/tty", programs::open_close(0x10, N), false, 0),
+    ];
+    for (row, program, file, sites) in rows {
+        let cfg = KernelConfig {
+            fuse: true,
+            ..KernelConfig::default()
+        };
+        let (mut emu, tid) = synthesis_unix::emu::boot_with_program(cfg, program).unwrap();
+        if file {
+            make_bench_file_synthesis(&mut emu);
+        }
+        assert!(emu.run_until_exit(tid, 20_000_000_000), "row {row} exits");
+        let st = emu.fusion_stats();
+        assert_eq!(
+            st.fallbacks(),
+            0,
+            "row {row}: {st:?}, last error {:?}",
+            emu.last_bind_error()
+        );
+        assert_eq!(st.bound, sites, "row {row}: {st:?}");
+        assert_eq!(
+            emu.k.creator.stats.equiv_checked, sites,
+            "row {row}: every fused wrapper passed the gate"
+        );
+    }
+}
