@@ -5,7 +5,7 @@
 //! tables --table 3  # one table
 //! tables --kernel-size
 //! tables --iters 100
-//! tables --json BENCH_4.json  # tables 1-3 + cache figures, as JSON
+//! tables --json BENCH_9.json  # tables 1-3 + cache figures, as records
 //! tables --trace-report       # profiler: per-thread I/O rates + quanta
 //! tables --trace-report --json BENCH_5.json
 //! tables --cpus 4             # SMP scaling table at 1, 2, and 4 CPUs
@@ -15,455 +15,371 @@
 //! tables --capacity                  # 10k-thread capacity soak (BENCH_8)
 //! tables --capacity --json BENCH_8.json
 //! tables --capacity --threads 2000   # reduced population
-//! tables --capacity-gate NEW.json BASELINE.json   # CI regression gate
-//! tables --table1-gate NEW.json BASELINE.json     # Table 1 ratio gate
+//! tables --gate NEW.json BASELINE.json   # CI regression gate
 //! ```
+//!
+//! Every `--json` mode writes the one record schema of
+//! [`synthesis_bench::record`]: a JSON array of flat `{suite, name,
+//! value, unit, better, paper, tol, floor}` records, one per line.
+//! `--gate` holds a fresh file against a baseline using the thresholds
+//! the baseline's records carry (see [`record::gate`]).
 //!
 //! `--cpus 1` (the default) reproduces the uniprocessor kernel byte for
 //! byte: every other mode's output is unchanged from the pre-SMP
 //! binary. `--cpus N` with N > 1 switches to the SMP scaling report
 //! (and makes `--trace-report` profile an N-CPU kernel).
 
+use synthesis_bench::record::{self, Better, Better::*, Record};
 use synthesis_bench::{
     capacity, profile, render, smp, table1, table2, table3, table4, table5, Row,
 };
+use synthesis_core::monitor::{RecoveryReport, LATENCY_BUCKETS};
 
-/// Minimal JSON string escaping (the row labels are plain ASCII, but be
-/// safe about quotes and backslashes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Table 1's default iteration count, the one BENCH_9 records.
+const DEFAULT_ITERS: u32 = 40;
+
+/// Absolute floors on Table 1 rows (by index) at the default iteration
+/// count: the fused paths of rows 2, 5, 6 and 7 must stay installed.
+/// Shorter runs amortize the first-call wrapper syntheses over fewer
+/// calls, so they carry no floor.
+const TABLE1_FLOORS: [(usize, f64); 4] = [(1, 20.0), (4, 8.0), (5, 15.0), (6, 8.0)];
+
+fn write_json(path: &str, records: &[Record]) {
+    if let Err(e) = std::fs::write(path, record::to_json(records)) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}
+
+/// A constructor for records of `suite` whose names start with `prefix`.
+fn records_of<'a>(
+    suite: &'a str,
+    prefix: &'a str,
+) -> impl Fn(&str, f64, &str, Option<Better>) -> Record + 'a {
+    move |name, v, unit, better| Record::new(suite, format!("{prefix}{name}"), v, unit, better)
+}
+
+fn row_records(suite: &str, rows: &[Row], better: Better) -> Vec<Record> {
+    let rec = records_of(suite, "");
+    let row = |r: &Row| Record {
+        paper: r.paper,
+        ..rec(&r.what, r.measured, r.unit, Some(better))
+    };
+    rows.iter().map(row).collect()
+}
+
+/// Tables 1–3 plus the specialization-cache figures (BENCH_4, BENCH_9).
+/// Table 1 rows may lose at most 5 % of their speedup against a
+/// baseline.
+fn table_records(iters: u32) -> Vec<Record> {
+    eprintln!("[json: running tables 1-3 and the cache benchmark ({iters} iterations)...]");
+    let mut t1 = row_records("table1", &table1::run(iters), Higher);
+    for r in &mut t1 {
+        r.tol = Some(0.05);
+    }
+    if iters == DEFAULT_ITERS {
+        for (row, floor) in TABLE1_FLOORS {
+            t1[row].floor = Some(floor);
         }
     }
-    out.push('"');
+    let mut out = vec![Record::new(
+        "table1",
+        "iters",
+        f64::from(iters),
+        "count",
+        None,
+    )];
+    out.extend(t1);
+    out.extend(row_records("table2", &table2::run(), Lower));
+    out.extend(row_records("table3", &table3::run(), Lower));
+    let c = table2::open_cold_warm();
+    let rec = records_of("cache", "");
+    out.extend([
+        rec("cold_open_us", c.cold_us, "us", Some(Lower)),
+        rec("warm_open_us", c.warm_us, "us", Some(Lower)),
+        rec("hits", c.hits as f64, "count", Some(Higher)),
+        rec("misses", c.misses as f64, "count", Some(Lower)),
+        rec("hit_rate", c.hit_rate, "ratio", Some(Higher)),
+        rec("shared_bytes", c.shared_bytes as f64, "bytes", Some(Higher)),
+    ]);
     out
 }
 
-fn json_rows(rows: &[Row]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let paper = r.paper.map_or("null".to_string(), |p| format!("{p}"));
-            format!(
-                "    {{\"what\": {}, \"paper\": {}, \"measured\": {:.3}, \"unit\": {}}}",
-                json_str(&r.what),
-                paper,
-                r.measured,
-                json_str(r.unit)
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", items.join(",\n"))
-}
-
-/// Emit Tables 1–3 plus the specialization-cache figures as JSON.
-fn emit_json(path: &str, iters: u32) {
-    eprintln!("[json: running tables 1-3 and the cache benchmark ({iters} iterations)...]");
-    let t1 = table1::run(iters);
-    let t2 = table2::run();
-    let t3 = table3::run();
-    let cache = table2::open_cold_warm();
-    let json = format!(
-        "{{\n  \"machine\": \"16 MHz + 1 wait state (SUN 3/160 emulation mode)\",\n  \
-         \"iters\": {iters},\n  \
-         \"table1\": {},\n  \
-         \"table2\": {},\n  \
-         \"table3\": {},\n  \
-         \"cache\": {{\n    \
-         \"cold_open_us\": {:.3},\n    \
-         \"warm_open_us\": {:.3},\n    \
-         \"hits\": {},\n    \
-         \"misses\": {},\n    \
-         \"hit_rate\": {:.4},\n    \
-         \"shared_bytes\": {}\n  }}\n}}\n",
-        json_rows(&t1),
-        json_rows(&t2),
-        json_rows(&t3),
-        cache.cold_us,
-        cache.warm_us,
-        cache.hits,
-        cache.misses,
-        cache.hit_rate,
-        cache.shared_bytes
-    );
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}
-
-/// Emit the SMP scaling table plus the cross-CPU cache figures as JSON
-/// (the BENCH_6 shape).
-fn emit_smp_json(path: &str, points: &[smp::ScalingPoint], cache: &smp::CacheSmp) {
+/// The SMP scaling table plus the cross-CPU cache figures (BENCH_6).
+fn smp_records(points: &[smp::ScalingPoint], cache: &smp::CacheSmp) -> Vec<Record> {
+    let rec = records_of("smp", "");
+    let mut out = vec![
+        rec("spinners", smp::SPINNERS as f64, "count", None),
+        rec("writers", smp::WRITERS as f64, "count", None),
+        rec("run_cycles", smp::RUN_CYCLES as f64, "cycles", None),
+    ];
     let base = points.first().map_or(0.0, |p| p.ops_per_ms);
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let per_cpu: Vec<String> = p
-                .per_cpu
-                .iter()
-                .map(|c| {
-                    format!(
-                        "        {{\"cpu\": {}, \"steals\": {}, \"offloads\": {}, \
-                         \"busy_cycles\": {}, \"idle_cycles\": {}}}",
-                        c.cpu, c.steals, c.offloads, c.busy_cycles, c.idle_cycles
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"cpus\": {}, \"total_ops\": {}, \"elapsed_ms\": {:.3}, \
-                 \"ops_per_ms\": {:.3}, \"speedup\": {:.3},\n      \"per_cpu\": [\n{}\n      ]}}",
-                p.cpus,
-                p.total_ops,
-                p.elapsed_ms,
-                p.ops_per_ms,
-                if base > 0.0 { p.ops_per_ms / base } else { 0.0 },
-                per_cpu.join(",\n")
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"machine\": \"16 MHz + 1 wait state (SUN 3/160 emulation mode)\",\n  \
-         \"workload\": \"{} counter spinners + {} /dev/null writers, {} cycles per point\",\n  \
-         \"scaling\": [\n{}\n  ],\n  \
-         \"cache_smp\": {{\n    \
-         \"cold_open_us\": {:.3},\n    \
-         \"warm_local_us\": {:.3},\n    \
-         \"warm_cross_us\": {:.3},\n    \
-         \"hits_local\": {},\n    \
-         \"hits_cross\": {},\n    \
-         \"bytes_shared_cross\": {},\n    \
-         \"shared_tier_bytes\": {}\n  }}\n}}\n",
-        smp::SPINNERS,
-        smp::WRITERS,
-        smp::RUN_CYCLES,
-        rows.join(",\n"),
-        cache.cold_open_us,
-        cache.warm_local_us,
-        cache.warm_cross_us,
-        cache.hits_local,
-        cache.hits_cross,
-        cache.bytes_shared_cross,
-        cache.shared_tier_bytes
-    );
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
+    for p in points {
+        let at = format!("cpus={} ", p.cpus);
+        let rec = records_of("smp", &at);
+        let speedup = if base > 0.0 { p.ops_per_ms / base } else { 0.0 };
+        out.extend([
+            rec("total_ops", p.total_ops as f64, "count", Some(Higher)),
+            rec("elapsed_ms", p.elapsed_ms, "ms", None),
+            rec("ops_per_ms", p.ops_per_ms, "ops/ms", Some(Higher)),
+            rec("speedup", speedup, "x", Some(Higher)),
+        ]);
+        for c in &p.per_cpu {
+            let at = format!("cpus={} cpu={} ", p.cpus, c.cpu);
+            let rec = records_of("smp", &at);
+            out.extend([
+                rec("steals", c.steals as f64, "count", None),
+                rec("offloads", c.offloads as f64, "count", None),
+                rec("busy_cycles", c.busy_cycles as f64, "cycles", None),
+                rec("idle_cycles", c.idle_cycles as f64, "cycles", None),
+            ]);
+        }
     }
-    println!("wrote {path}");
+    let rec = records_of("cache_smp", "");
+    let bytes = |name, v: u64, better| rec(name, v as f64, "bytes", better);
+    out.extend([
+        rec("cold_open_us", cache.cold_open_us, "us", Some(Lower)),
+        rec("warm_local_us", cache.warm_local_us, "us", Some(Lower)),
+        rec("warm_cross_us", cache.warm_cross_us, "us", Some(Lower)),
+        rec("hits_local", cache.hits_local as f64, "count", Some(Higher)),
+        rec("hits_cross", cache.hits_cross as f64, "count", Some(Higher)),
+        bytes("bytes_shared_cross", cache.bytes_shared_cross, Some(Higher)),
+        bytes("shared_tier_bytes", cache.shared_tier_bytes, None),
+    ]);
+    out
 }
 
-/// Serialize the profiler's result (the per-thread I/O-rate table and
-/// scheduler outcomes) as JSON.
-fn trace_report_json(p: &profile::ProfileResult) -> String {
-    let quanta: std::collections::HashMap<u32, (&str, u32)> = p
-        .threads
-        .iter()
-        .map(|t| (t.tid, (t.role, t.quantum_us)))
-        .collect();
-    let rows: Vec<String> = p
-        .report
-        .threads
-        .iter()
-        .map(|t| {
-            let (role, q) = quanta.get(&t.tid).copied().unwrap_or(("kernel/idle", 0));
-            let latency: Vec<String> = t.latency.iter().map(u64::to_string).collect();
-            format!(
-                "    {{\"tid\": {}, \"role\": {}, \"ctx_switches\": {}, \"syscalls\": {}, \
-                 \"irqs\": {}, \"queue_puts\": {}, \"queue_gets\": {}, \"cache_hits\": {}, \
-                 \"cache_misses\": {}, \"recoveries\": {}, \"io_events\": {}, \
-                 \"io_per_ms\": {:.3}, \"quantum_us\": {}, \"latency\": [{}]}}",
-                t.tid,
-                json_str(role),
-                t.ctx_switches,
-                t.syscalls,
-                t.irqs,
-                t.queue_puts,
-                t.queue_gets,
-                t.cache_hits,
-                t.cache_misses,
-                t.recoveries,
-                t.io_events,
-                t.io_per_ms,
-                q,
-                latency.join(", ")
-            )
-        })
-        .collect();
-    // Only multiprocessor reports carry per-CPU rows; on one CPU the
-    // key is omitted entirely so the JSON is byte-identical to the
-    // uniprocessor binary's.
-    let cpus_section = if p.report.cpus.is_empty() {
-        String::new()
-    } else {
-        let rows: Vec<String> = p
-            .report
-            .cpus
+/// The profiler's result (BENCH_5): per-thread I/O rates, syscall
+/// latency histograms and final quanta, plus per-CPU rows on
+/// multiprocessor kernels only, so the one-CPU file is byte-identical
+/// to the uniprocessor binary's.
+fn trace_records(p: &profile::ProfileResult) -> Vec<Record> {
+    let r = &p.report;
+    let rec = records_of("trace", "");
+    let mut out = vec![
+        rec("window_start", r.window_start as f64, "cycles", None),
+        rec("window_end", r.window_end as f64, "cycles", None),
+        rec("records", r.records as f64, "count", None),
+        rec("dropped", r.dropped as f64, "count", Some(Lower)),
+        rec("adapt_passes", p.passes as f64, "count", None),
+        rec("quantum_changes", p.adjustments as f64, "count", None),
+    ];
+    for c in &r.cpus {
+        let at = format!("cpu={} ", c.cpu);
+        let rec = records_of("trace", &at);
+        out.extend([
+            rec("utilization", c.utilization, "ratio", Some(Higher)),
+            rec("steals", c.steals as f64, "count", None),
+            rec("steal_records", c.steal_records as f64, "count", None),
+            rec("offloads", c.offloads as f64, "count", None),
+            rec("busy_cycles", c.busy_cycles as f64, "cycles", None),
+            rec("idle_cycles", c.idle_cycles as f64, "cycles", None),
+        ]);
+    }
+    for t in &r.threads {
+        let (role, quantum) = p
+            .threads
             .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"cpu\": {}, \"utilization\": {:.4}, \"steals\": {}, \
-                     \"steal_records\": {}, \"offloads\": {}, \"busy_cycles\": {}, \
-                     \"idle_cycles\": {}}}",
-                    c.cpu,
-                    c.utilization,
-                    c.steals,
-                    c.steal_records,
-                    c.offloads,
-                    c.busy_cycles,
-                    c.idle_cycles
-                )
-            })
-            .collect();
-        format!("  \"cpus\": [\n{}\n  ],\n", rows.join(",\n"))
-    };
-    format!(
-        "{{\n  \"machine\": \"16 MHz + 1 wait state (SUN 3/160 emulation mode)\",\n  \
-         \"window_start\": {},\n  \"window_end\": {},\n  \"records\": {},\n  \
-         \"dropped\": {},\n  \"adapt_passes\": {},\n  \"quantum_changes\": {},\n  \
-         \"latency_buckets\": {:?},\n{}  \"threads\": [\n{}\n  ]\n}}\n",
-        p.report.window_start,
-        p.report.window_end,
-        p.report.records,
-        p.report.dropped,
-        p.passes,
-        p.adjustments,
-        synthesis_core::monitor::LATENCY_BUCKETS,
-        cpus_section,
-        rows.join(",\n")
-    )
+            .find(|pt| pt.tid == t.tid)
+            .map_or(("kernel/idle", 0), |pt| (pt.role, pt.quantum_us));
+        let at = format!("tid={} [{role}] ", t.tid);
+        let rec = records_of("trace", &at);
+        let count = |name: &str, v: u64| rec(name, v as f64, "count", None);
+        out.extend([
+            count("ctx_switches", t.ctx_switches),
+            count("syscalls", t.syscalls),
+            count("irqs", t.irqs),
+            count("queue_puts", t.queue_puts),
+            count("queue_gets", t.queue_gets),
+            count("cache_hits", t.cache_hits),
+            count("cache_misses", t.cache_misses),
+            count("recoveries", t.recoveries),
+            count("io_events", t.io_events),
+            rec("io_per_ms", t.io_per_ms, "1/ms", None),
+            rec("quantum_us", f64::from(quantum), "us", None),
+        ]);
+        for (bound, n) in LATENCY_BUCKETS.iter().zip(t.latency) {
+            out.push(count(&format!("latency<={bound} cycles"), n));
+        }
+    }
+    out
 }
 
-/// Serialize the capacity soak (the BENCH_8 shape).
-fn capacity_json(r: &capacity::CapacityReport) -> String {
-    let scale: Vec<String> = r
-        .scale
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"cpus\": {}, \"threads\": {}, \"channels_open\": {}, \
-                 \"spawn_p50_us\": {:.3}, \"spawn_p90_us\": {:.3}, \"spawn_p99_us\": {:.3}, \
-                 \"spawn_max_us\": {:.3}, \"spin_ops\": {}, \"elapsed_ms\": {:.3}, \
-                 \"ops_per_ms\": {:.3}, \"signals_sent\": {}, \"signals_delivered\": {}, \
-                 \"dispatch_median_cycles\": {}, \"dispatch_max_cycles\": {}, \
-                 \"dispatch_samples\": {}, \"heap_in_use\": {}, \"code_in_use\": {}}}",
-                p.cpus,
-                p.threads,
-                p.channels_open,
-                p.spawn.p50,
-                p.spawn.p90,
-                p.spawn.p99,
-                p.spawn.max,
-                p.spin_ops,
-                p.elapsed_ms,
-                p.ops_per_ms,
-                p.signals_sent,
-                p.signals_delivered,
-                p.dispatch.median_cycles,
-                p.dispatch.max_cycles,
-                p.dispatch.samples,
-                p.heap_in_use,
-                p.code_in_use
-            )
-        })
-        .collect();
-    let baselines: Vec<String> = r
-        .baselines
-        .iter()
-        .map(|b| {
-            format!(
-                "    {{\"cpus\": {}, \"threads\": {}, \"samples\": {}, \
-                 \"median_cycles\": {}, \"max_cycles\": {}}}",
-                b.cpus, b.threads, b.samples, b.median_cycles, b.max_cycles
-            )
-        })
-        .collect();
-    let curve: Vec<String> = r
-        .curve
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"budget\": {}, \"cycles\": {}, \"hits\": {}, \"misses\": {}, \
-                 \"hit_rate\": {:.4}, \"resident_bytes\": {}, \"warm_bytes\": {}}}",
-                c.budget, c.cycles, c.hits, c.misses, c.hit_rate, c.resident_bytes, c.warm_bytes
-            )
-        })
-        .collect();
+/// The chaos-soak scoreboard; the per-CPU section only on
+/// multiprocessor kernels, as in [`trace_records`].
+fn recovery_records(r: &RecoveryReport) -> Vec<Record> {
+    let i = &r.injected;
+    let injected = records_of("recovery", "injected ");
+    let count = |name: &str, v: u64| injected(name, v as f64, "count", None);
+    let mut out = vec![
+        count("total", i.total()),
+        count("disk_transient", i.disk_transient),
+        count("disk_sticky", i.disk_sticky),
+        count("tty_dropped", i.tty_dropped),
+        count("tty_duplicated", i.tty_duplicated),
+        count("irq_lost", i.irq_lost),
+        count("irq_spurious", i.irq_spurious),
+        count("timer_jitter", i.timer_jitter),
+        count("ipi_lost", i.ipi_lost),
+        count("ipi_delayed", i.ipi_delayed),
+        count("ipi_spurious", i.ipi_spurious),
+        count("cpu_stall", i.cpu_stall),
+        count("cpu_sick", i.cpu_sick),
+    ];
+    let rec = records_of("recovery", "");
+    let count = |name: &str, v: u64| rec(name, v as f64, "count", None);
+    out.extend([
+        count("disk_retries", r.disk_retries),
+        rec("disk_backoff_us", r.disk_backoff_us as f64, "us", None),
+        count("disk_failed", r.disk_failed),
+        count("disk_rejected_quarantined", r.disk_rejected_quarantined),
+        count("sectors_quarantined", r.sectors_quarantined as u64),
+        count("threads_reaped", r.threads_reaped),
+        count("threads_quarantined", r.threads_quarantined),
+        count("io_errors", r.io_errors),
+    ]);
+    if !r.cpus.is_empty() {
+        out.extend([
+            count("cpus_quarantined", r.cpus_quarantined),
+            count("cpus_resumed", r.cpus_resumed),
+            count("threads_evacuated", r.threads_evacuated),
+            count("ipi_fallbacks", r.ipi_fallbacks),
+        ]);
+    }
+    for c in &r.cpus {
+        let at = format!("cpu={} ", c.cpu);
+        let rec = records_of("recovery", &at);
+        let count = |name: &str, v: u64| rec(name, v as f64, "count", None);
+        out.extend([
+            count("quarantined", u64::from(c.quarantined)),
+            count("fault_events", c.fault_events),
+            count("stall_cycles", c.stall_cycles),
+            count("strikes", u64::from(c.strikes)),
+        ]);
+    }
+    out
+}
+
+/// The capacity soak (BENCH_8). Spawn p99 may grow and ops/ms may drop
+/// by at most 10 % against a baseline, at every CPU count.
+fn capacity_records(r: &capacity::CapacityReport) -> Vec<Record> {
+    let mut out = Vec::new();
+    for p in &r.scale {
+        let at = format!("cpus={} ", p.cpus);
+        let rec = records_of("capacity", &at);
+        let us = |name: &str, v: f64| rec(name, v, "us", Some(Lower));
+        let count = |name: &str, v: u64| rec(name, v as f64, "count", None);
+        let cycles = |name: &str, v: u64| rec(name, v as f64, "cycles", Some(Lower));
+        let bytes = |name: &str, v: u32| rec(name, f64::from(v), "bytes", Some(Lower));
+        out.extend([
+            count("threads", p.threads as u64),
+            count("channels_open", p.channels_open as u64),
+            us("spawn_p50_us", p.spawn.p50),
+            us("spawn_p90_us", p.spawn.p90),
+            Record {
+                tol: Some(0.10),
+                ..us("spawn_p99_us", p.spawn.p99)
+            },
+            us("spawn_max_us", p.spawn.max),
+            rec("spin_ops", p.spin_ops as f64, "count", Some(Higher)),
+            rec("elapsed_ms", p.elapsed_ms, "ms", None),
+            Record {
+                tol: Some(0.10),
+                ..rec("ops_per_ms", p.ops_per_ms, "ops/ms", Some(Higher))
+            },
+            count("signals_sent", p.signals_sent),
+            count("signals_delivered", p.signals_delivered),
+            cycles("dispatch_median_cycles", p.dispatch.median_cycles),
+            cycles("dispatch_max_cycles", p.dispatch.max_cycles),
+            count("dispatch_samples", p.dispatch.samples as u64),
+            bytes("heap_in_use", p.heap_in_use),
+            bytes("code_in_use", p.code_in_use),
+        ]);
+    }
+    for b in &r.baselines {
+        let at = format!("cpus={} threads={} ", b.cpus, b.threads);
+        let rec = records_of("dispatch", &at);
+        out.extend([
+            rec("samples", b.samples as f64, "count", None),
+            rec(
+                "median_cycles",
+                b.median_cycles as f64,
+                "cycles",
+                Some(Lower),
+            ),
+            rec("max_cycles", b.max_cycles as f64, "cycles", Some(Lower)),
+        ]);
+    }
+    let cycles = r.open_close_cycles as f64;
+    out.push(Record::new(
+        "eviction",
+        "open_close_cycles",
+        cycles,
+        "count",
+        None,
+    ));
+    for c in &r.curve {
+        let at = format!("budget={} ", c.budget);
+        let rec = records_of("eviction", &at);
+        out.extend([
+            rec("cycles", c.cycles as f64, "count", None),
+            rec("hits", c.hits as f64, "count", Some(Higher)),
+            rec("misses", c.misses as f64, "count", Some(Lower)),
+            rec("hit_rate", c.hit_rate, "ratio", Some(Higher)),
+            rec(
+                "resident_bytes",
+                c.resident_bytes as f64,
+                "bytes",
+                Some(Lower),
+            ),
+            rec("warm_bytes", c.warm_bytes as f64, "bytes", None),
+        ]);
+    }
     let l = &r.lifecycle;
-    format!(
-        "{{\n  \"machine\": \"16 MHz + 1 wait state (SUN 3/160 emulation mode)\",\n  \
-         \"threads\": {},\n  \"open_close_cycles\": {},\n  \
-         \"scale\": [\n{}\n  ],\n  \
-         \"dispatch_baselines\": [\n{}\n  ],\n  \
-         \"eviction_curve\": [\n{}\n  ],\n  \
-         \"lifecycle\": {{\"cycles\": {}, \"heap_before\": {}, \"heap_after\": {}, \
-         \"code_before\": {}, \"code_after\": {}, \"heap_high_water\": {}, \
-         \"heap_fragments\": {}, \"heap_largest_free\": {}}}\n}}\n",
-        r.scale.first().map_or(0, |p| p.threads),
-        r.open_close_cycles,
-        scale.join(",\n"),
-        baselines.join(",\n"),
-        curve.join(",\n"),
-        l.cycles,
-        l.heap_before,
-        l.heap_after,
-        l.code_before,
-        l.code_after,
-        l.heap_high_water,
-        l.heap_fragments,
-        l.heap_largest_free
-    )
+    let rec = records_of("lifecycle", "");
+    let bytes = |name: &str, v: u32, better| rec(name, f64::from(v), "bytes", better);
+    out.extend([
+        rec("cycles", l.cycles as f64, "count", None),
+        bytes("heap_before", l.heap_before, None),
+        bytes("heap_after", l.heap_after, Some(Lower)),
+        bytes("code_before", l.code_before, None),
+        bytes("code_after", l.code_after, Some(Lower)),
+        bytes("heap_high_water", l.heap_high_water, Some(Lower)),
+        rec(
+            "heap_fragments",
+            l.heap_fragments as f64,
+            "count",
+            Some(Lower),
+        ),
+        bytes("heap_largest_free", l.heap_largest_free, Some(Higher)),
+    ]);
+    out
 }
 
-/// First numeric value following `"key":` in a JSON document (enough
-/// for the gate's two scalar reads — no dependency needed).
-fn json_num(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Compare a fresh BENCH_8 against the checked-in baseline: spawn p99
-/// may grow at most 10%, ops/ms may drop at most 10%. Exits non-zero on
-/// a regression so CI fails the job.
-fn capacity_gate(new_path: &str, base_path: &str) {
+/// `tables --gate NEW BASE`: exit non-zero (so CI fails the job) when
+/// [`record::gate`] reports any failure.
+fn gate(new_path: &str, base_path: &str) {
     let read = |p: &str| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {p}: {e}");
+        record::read(p).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             std::process::exit(1);
         })
     };
     let (new, base) = (read(new_path), read(base_path));
-    let need = |doc: &str, path: &str, key: &str| {
-        json_num(doc, key).unwrap_or_else(|| {
-            eprintln!("error: {path} has no {key:?}");
-            std::process::exit(1);
-        })
-    };
-    let (new_p99, base_p99) = (
-        need(&new, new_path, "spawn_p99_us"),
-        need(&base, base_path, "spawn_p99_us"),
-    );
-    let (new_ops, base_ops) = (
-        need(&new, new_path, "ops_per_ms"),
-        need(&base, base_path, "ops_per_ms"),
-    );
-    let mut failed = false;
-    if new_p99 > base_p99 * 1.10 {
-        eprintln!("GATE FAIL: spawn p99 {new_p99:.3} µs > baseline {base_p99:.3} µs + 10%");
-        failed = true;
+    let failures = record::gate(&new, &base);
+    for f in &failures {
+        eprintln!("GATE FAIL: {f}");
     }
-    if new_ops < base_ops * 0.90 {
-        eprintln!(
-            "GATE FAIL: throughput {new_ops:.3} ops/ms < baseline {base_ops:.3} ops/ms - 10%"
-        );
-        failed = true;
-    }
-    if failed {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
+    let held = |f: fn(&Record) -> bool| base.iter().filter(|r| f(r)).count();
     println!(
-        "capacity gate ok: p99 {new_p99:.3} µs (baseline {base_p99:.3}), \
-         {new_ops:.3} ops/ms (baseline {base_ops:.3})"
-    );
-}
-
-/// Extract the `(what, measured)` pairs of the `"table1"` array from a
-/// BENCH-shape JSON document. The writer is [`emit_json`], so the
-/// layout is known: one row object per line inside the array.
-fn table1_rows(doc: &str, path: &str) -> Vec<(String, f64)> {
-    let Some(start) = doc.find("\"table1\": [") else {
-        eprintln!("error: {path} has no \"table1\" array");
-        std::process::exit(1);
-    };
-    let body = &doc[start..];
-    // The array closer sits alone on its own line ("\n  ]"); a bare ']'
-    // would stop at the "[speedup]" inside the first row label.
-    let end = body.find("\n  ]").unwrap_or(body.len());
-    let mut rows = Vec::new();
-    for line in body[..end].lines() {
-        let Some(w) = line.find("\"what\": \"") else {
-            continue;
-        };
-        let rest = &line[w + 9..];
-        let Some(q) = rest.find('"') else { continue };
-        let Some(m) = json_num(line, "measured") else {
-            continue;
-        };
-        rows.push((rest[..q].to_string(), m));
-    }
-    if rows.is_empty() {
-        eprintln!("error: {path} has an empty \"table1\" array");
-        std::process::exit(1);
-    }
-    rows
-}
-
-/// Compare a fresh Table 1 against the checked-in baseline: no row may
-/// lose more than 5% of its speedup ratio (the simulation is
-/// deterministic, so real drift means a real code change), and the
-/// fused-path acceptance floors are absolute — pipe-1B ≥ 20×, file
-/// r/w 1 KB ≥ 8× (the fused file wrappers must stay installed), open/
-/// close `/dev/null` ≥ 15×, `/dev/tty` ≥ 8×. Exits non-zero on any
-/// failure so CI fails the job.
-fn table1_gate(new_path: &str, base_path: &str) {
-    let read = |p: &str| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {p}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let (new, base) = (read(new_path), read(base_path));
-    let new_rows = table1_rows(&new, new_path);
-    let base_rows = table1_rows(&base, base_path);
-    let mut failed = false;
-    for (what, base_m) in &base_rows {
-        let Some((_, new_m)) = new_rows.iter().find(|(w, _)| w == what) else {
-            eprintln!("GATE FAIL: row {what:?} missing from {new_path}");
-            failed = true;
-            continue;
-        };
-        if *new_m < base_m * 0.95 {
-            eprintln!("GATE FAIL: {what}: {new_m:.2}x < baseline {base_m:.2}x - 5%");
-            failed = true;
-        }
-    }
-    for (needle, floor) in [
-        ("pipe, 1 byte", 20.0),
-        ("file, 1 KB", 8.0),
-        ("/dev/null", 15.0),
-        ("/dev/tty", 8.0),
-    ] {
-        match new_rows.iter().find(|(w, _)| w.contains(needle)) {
-            Some((what, m)) if *m >= floor => println!("  {what}: {m:.1}x >= {floor}x"),
-            Some((what, m)) => {
-                eprintln!("GATE FAIL: {what}: {m:.2}x < absolute floor {floor}x");
-                failed = true;
-            }
-            None => {
-                eprintln!("GATE FAIL: no Table 1 row matching {needle:?} in {new_path}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "table1 gate ok: {} rows held against {base_path}",
-        base_rows.len()
+        "gate ok: all {} records of {base_path} present, {} tolerances and {} floors held",
+        base.len(),
+        held(|r| r.tol.is_some()),
+        held(|r| r.floor.is_some())
     );
 }
 
@@ -562,7 +478,7 @@ fn main() {
             eprintln!("error: --iters takes a positive number, got {s:?}");
             std::process::exit(2);
         }),
-        None => 40,
+        None => DEFAULT_ITERS,
     };
     if iters == 0 {
         eprintln!("error: --iters must be at least 1");
@@ -580,21 +496,12 @@ fn main() {
     };
     let size_only = args.iter().any(|a| a == "--kernel-size");
 
-    if let Some(i) = args.iter().position(|a| a == "--capacity-gate") {
+    if let Some(i) = args.iter().position(|a| a == "--gate") {
         let (Some(new_path), Some(base_path)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("error: --capacity-gate takes NEW.json BASELINE.json");
+            eprintln!("error: --gate takes NEW.json BASELINE.json");
             std::process::exit(2);
         };
-        capacity_gate(new_path, base_path);
-        return;
-    }
-
-    if let Some(i) = args.iter().position(|a| a == "--table1-gate") {
-        let (Some(new_path), Some(base_path)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("error: --table1-gate takes NEW.json BASELINE.json");
-            std::process::exit(2);
-        };
-        table1_gate(new_path, base_path);
+        gate(new_path, base_path);
         return;
     }
 
@@ -615,11 +522,7 @@ fn main() {
             capacity::default_lifecycle(),
         );
         if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, capacity_json(&report)) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
+            write_json(&path, &capacity_records(&report));
         } else {
             print!("{}", capacity::render(&report));
         }
@@ -638,11 +541,7 @@ fn main() {
         let k = smp::chaos_run(cpus, seed);
         let report = synthesis_core::monitor::recovery_report(&k);
         if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
+            write_json(&path, &recovery_records(&report));
         } else {
             print!("{}", report.render());
         }
@@ -657,11 +556,7 @@ fn main() {
             profile::run(8, 2_000_000)
         };
         if let Some(path) = get("--json") {
-            if let Err(e) = std::fs::write(&path, trace_report_json(&p)) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
+            write_json(&path, &trace_records(&p));
         } else {
             print!("{}", p.render());
         }
@@ -676,7 +571,7 @@ fn main() {
         let points = smp::scaling(cpus);
         let cache = smp::cache_smp();
         if let Some(path) = get("--json") {
-            emit_smp_json(&path, &points, &cache);
+            write_json(&path, &smp_records(&points, &cache));
         } else {
             println!("Synthesis kernel reproduction — SMP scaling");
             println!("machine: 16 MHz + 1 wait state (SUN 3/160 emulation mode)");
@@ -696,7 +591,7 @@ fn main() {
     }
 
     if let Some(path) = get("--json") {
-        emit_json(&path, iters);
+        write_json(&path, &table_records(iters));
         return;
     }
 

@@ -15,6 +15,7 @@
 
 pub mod capacity;
 pub mod profile;
+pub mod record;
 pub mod smp;
 pub mod static_cost;
 pub mod table1;

@@ -81,11 +81,11 @@ pub struct KernelConfig {
     /// release, the historical behaviour; see
     /// [`synthesis_codegen::speccache::SpecCache`]).
     pub cache_budget: u32,
-    /// Kernel⇄caller fusion: when true (and collapse is on), threads
-    /// get the hooked context switch (`sw_*_hooked`, with its inline
-    /// `resume_hook` splice point) and same-space callers are eligible
-    /// for trap-elided `jsr`-bound fused I/O wrappers (see
-    /// [`crate::templates::syscall`] and the UNIX emulator's loader).
+    /// Kernel⇄caller fusion: when true (and collapse is on), same-space
+    /// callers are eligible for trap-elided `jsr`-bound fused I/O
+    /// wrappers (see [`crate::templates::syscall`] and the UNIX
+    /// emulator's loader). Threads get the plain context switch either
+    /// way.
     /// Off by default: the layered trap path stays byte-identical to
     /// the historical kernel.
     pub fuse: bool,
@@ -755,16 +755,7 @@ impl Kernel {
         if fp {
             b.bind("fp_save", tte + off::FP);
         }
-        // Under fusion every thread gets the hooked switch: the
-        // `resume_hook` splice point costs nothing while the hook is
-        // the default empty body (it collapses to a fall-through), and
-        // is the seam a fused continuation is spliced into.
-        let name = match (fp, self.fuse) {
-            (false, false) => "sw_basic",
-            (true, false) => "sw_fp",
-            (false, true) => "sw_basic_hooked",
-            (true, true) => "sw_fp_hooked",
-        };
+        let name = if fp { "sw_fp" } else { "sw_basic" };
         Ok(self.creator.synthesize(&mut self.m, name, &b, self.opts)?)
     }
 
@@ -3121,95 +3112,6 @@ impl Kernel {
             let _ = self.fix_chain_entries_on(cpu);
         }
         self.m.cpu.fpu_enabled = true;
-    }
-
-    // --- Resume-hook fusion --------------------------------------------------
-
-    /// Fuse a continuation into `tid`'s context-switch-in path.
-    ///
-    /// The hook body (which must end in `rts`; clobbering `d0`–`d7`/
-    /// `a0`–`a6` is fine) is collapsed *inline* into the thread's switch
-    /// code at the `resume_hook` seam — after the kernel stack is
-    /// restored, before registers are reloaded — so the thread executes
-    /// it on every resume with no call, dispatch, or trap. This is the
-    /// scheduler end of the pipe⇄ctxsw fusion: a blocked reader's resume
-    /// point becomes the post-copy continuation itself.
-    ///
-    /// Pass [`templates::ctxsw::resume_hook_nop_template`] to clear the
-    /// hook (the empty body collapses to a fall-through).
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::Invalid`] unless the kernel booted with
-    /// [`KernelConfig::fuse`]; [`KernelError::NoThread`] for an unknown
-    /// tid; synthesis errors if the hooked switch fails to build (the
-    /// thread keeps its old switch in that case).
-    pub fn set_resume_hook(
-        &mut self,
-        tid: Tid,
-        hook: synthesis_codegen::template::Template,
-    ) -> Result<(), KernelError> {
-        if !self.fuse {
-            return Err(KernelError::Invalid(
-                "resume hooks require KernelConfig::fuse",
-            ));
-        }
-        let Some(t) = self.threads.get(&tid) else {
-            return Err(KernelError::NoThread(tid));
-        };
-        let (tte, vt, quantum, fp, old_sw) = (t.tte, t.vt, t.quantum_us, t.uses_fp, t.sw.clone());
-
-        // Splice the hook into the template library under the seam name,
-        // synthesize the replacement switch, then restore the empty hook
-        // so later-created threads resume clean.
-        let mut hook = hook;
-        hook.name = "resume_hook".into();
-        self.creator.lib.add(hook);
-        let sw = self.synth_switch(tid, tte, vt, quantum, fp);
-        self.creator
-            .lib
-            .add(templates::ctxsw::resume_hook_nop_template());
-        let sw = sw?;
-
-        // Swap it in (same dance as the lazy-FP resynthesis).
-        let cpu = self.home_cpu(tid);
-        let in_chain = self.cpus[cpu].ready.contains(tid);
-        if in_chain {
-            let _ = self.cpus[cpu].ready.remove(&mut self.m, tid);
-        }
-        self.sw_extents.remove(&old_sw.base);
-        self.creator.destroy(&mut self.m, &old_sw);
-        let (sw_out, ipi_in, sw_in, sw_in_mmu, jmp_at) = Kernel::switch_entries(&self.m, &sw);
-        self.sw_extents.insert(sw.base, sw.base + sw.size);
-        {
-            let t = self.threads.get_mut(&tid).expect("exists");
-            t.sw = sw;
-            t.sw_out = sw_out;
-            t.sw_in = sw_in;
-            t.sw_in_mmu = sw_in_mmu;
-            t.jmp_at = jmp_at;
-        }
-        self.m.mem.poke(
-            vt + 4 * (24 + u32::from(irq_levels::QUANTUM)),
-            Size::L,
-            sw_out,
-        );
-        if self.m.num_cpus() > 1 {
-            self.m
-                .mem
-                .poke(vt + 4 * (24 + u32::from(irq_levels::IPI)), Size::L, ipi_in);
-        }
-        if in_chain {
-            let t = &self.threads[&tid];
-            let node = ChainNode {
-                id: tid,
-                entry: t.sw_in,
-                jmp_at: t.jmp_at,
-            };
-            let _ = self.cpus[cpu].ready.insert_next(&mut self.m, None, node);
-            let _ = self.fix_chain_entries_on(cpu);
-        }
-        Ok(())
     }
 
     // --- Misc host services ---------------------------------------------------

@@ -249,73 +249,6 @@ impl RecoveryReport {
         }
         out
     }
-
-    /// Serialize the report as JSON — the same shape as the text
-    /// rendering, structurally assertable by the chaos soak and CI. The
-    /// `cpus` key is omitted entirely on uniprocessor kernels so the
-    /// single-CPU JSON is byte-identical whether or not the SMP fault
-    /// plan is compiled in.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let i = &self.injected;
-        let cpus_section = if self.cpus.is_empty() {
-            String::new()
-        } else {
-            let rows: Vec<String> = self
-                .cpus
-                .iter()
-                .map(|c| {
-                    format!(
-                        "    {{\"cpu\": {}, \"quarantined\": {}, \"fault_events\": {}, \
-                         \"stall_cycles\": {}, \"strikes\": {}}}",
-                        c.cpu, c.quarantined, c.fault_events, c.stall_cycles, c.strikes
-                    )
-                })
-                .collect();
-            format!(
-                ",\n  \"cpus_quarantined\": {},\n  \"cpus_resumed\": {},\n  \
-                 \"threads_evacuated\": {},\n  \"ipi_fallbacks\": {},\n  \
-                 \"cpus\": [\n{}\n  ]",
-                self.cpus_quarantined,
-                self.cpus_resumed,
-                self.threads_evacuated,
-                self.ipi_fallbacks,
-                rows.join(",\n")
-            )
-        };
-        format!(
-            "{{\n  \"injected\": {{\"total\": {}, \"disk_transient\": {}, \"disk_sticky\": {}, \
-             \"tty_dropped\": {}, \"tty_duplicated\": {}, \"irq_lost\": {}, \
-             \"irq_spurious\": {}, \"timer_jitter\": {}, \"ipi_lost\": {}, \
-             \"ipi_delayed\": {}, \"ipi_spurious\": {}, \"cpu_stall\": {}, \"cpu_sick\": {}}},\n  \
-             \"disk_retries\": {},\n  \"disk_backoff_us\": {},\n  \"disk_failed\": {},\n  \
-             \"disk_rejected_quarantined\": {},\n  \"sectors_quarantined\": {},\n  \
-             \"threads_reaped\": {},\n  \"threads_quarantined\": {},\n  \"io_errors\": {}{}\n\
-             }}\n",
-            i.total(),
-            i.disk_transient,
-            i.disk_sticky,
-            i.tty_dropped,
-            i.tty_duplicated,
-            i.irq_lost,
-            i.irq_spurious,
-            i.timer_jitter,
-            i.ipi_lost,
-            i.ipi_delayed,
-            i.ipi_spurious,
-            i.cpu_stall,
-            i.cpu_sick,
-            self.disk_retries,
-            self.disk_backoff_us,
-            self.disk_failed,
-            self.disk_rejected_quarantined,
-            self.sectors_quarantined,
-            self.threads_reaped,
-            self.threads_quarantined,
-            self.io_errors,
-            cpus_section
-        )
-    }
 }
 
 /// Syscall-latency histogram buckets, in cycles (each bucket's upper

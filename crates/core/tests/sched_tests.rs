@@ -363,36 +363,3 @@ fn gauges_count_synthesized_io() {
     let gauge = k.m.mem.peek(tte + off::GAUGE, Size::L);
     assert_eq!(gauge, 10, "each synthesized write bumped the gauge");
 }
-
-#[test]
-fn resume_hook_runs_on_every_dispatch_of_its_thread() {
-    // The pipe⇄ctxsw fusion seam, end to end: a hook spliced into a
-    // thread's switch-in path runs each time that thread is dispatched
-    // — and only for that thread. Two spinning threads share one CPU,
-    // so the quantum forces a steady alternation; the hook counts
-    // thread 1's dispatches into a memory slot.
-    const SLOT: u32 = layout::USER_BASE + 0x2_9100;
-    let mut k = Kernel::boot(KernelConfig {
-        fuse: true,
-        ..KernelConfig::default()
-    })
-    .unwrap();
-    let t1 = spin_thread(&mut k, USTACK);
-    let t2 = spin_thread(&mut k, USTACK + 0x1000);
-    let mut a = Asm::new("count_resumes");
-    a.add(L, Imm(1), Abs(SLOT));
-    a.rts(); // collapsed to fall-through at the splice point
-    let hook = synthesis_codegen::template::Template::from_asm(a).unwrap();
-    k.set_resume_hook(t1, hook).unwrap();
-    k.m.mem.poke(SLOT, Size::L, 0);
-    k.start(t1).unwrap();
-    k.start(t2).unwrap();
-    k.run(2_000_000);
-    let n = k.m.mem.peek(SLOT, Size::L);
-    assert!(n >= 3, "hook must fire once per resume of t1, got {n}");
-    // The count tracks t1's dispatches alone: it can exceed half the
-    // total switches by at most the rotation asymmetry, never double.
-    let switches = n; // sanity bound: with 2 threads, t1 resumes at most
-                      // every other switch plus the initial dispatch.
-    assert!(switches < 2_000_000 / 100, "hook is not free-running: {n}");
-}
